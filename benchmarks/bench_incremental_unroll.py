@@ -26,7 +26,8 @@ The end-of-session report table shows the sweep times, the speedups, and
 the reuse counters (``clauses_reused``, ``translation_cache_hits``,
 ``warm_start_hits``, ``blocking_template_hits``); the report *asserts*
 that the session sweep is strictly faster than one-shot and that the
-reuse counters are nonzero.  Both families are pure difference logic, so
+reuse counters are nonzero (``warm_start_hits`` on the watertank family
+only: the fischer session never decides the same component twice).  Both families are pure difference logic, so
 the sweeps run with ``linear="difference"`` (Bellman-Ford negative-cycle
 conflict cores).
 
@@ -264,7 +265,10 @@ def _report():
             failures.append(f"{name}: no clause reuse across checks")
         if stats.translation_cache_hits <= 0:
             failures.append(f"{name}: translation cache never hit")
-        if stats.warm_start_hits <= 0:
+        # Fischer's session never decides the same component twice, so its
+        # warm cache has nothing to answer; watertank re-decides components
+        # across depths.
+        if name == "watertank" and stats.warm_start_hits <= 0:
             failures.append(f"{name}: simplex warm starts never hit")
         if replay_stats is not None and replay_stats.blocking_template_hits <= 0:
             failures.append(f"{name}: lemma replay never hit a blocking template")

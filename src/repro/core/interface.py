@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import abc
 from fractions import Fraction
-from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from ..linear.branch_bound import BranchAndBoundSolver
 from ..linear.iis import extract_iis
@@ -158,8 +158,9 @@ class LinearSolverInterface(abc.ABC):
         """Decide feasibility; on success the result carries a point."""
 
     @abc.abstractmethod
-    def refine(self, system: LinearSystem) -> Refinement:
-        """Explain an infeasibility (called only after a failed check)."""
+    def refine(self, system: LinearSystem, failed: LPResult) -> Refinement:
+        """Explain the infeasibility that ``check(system)`` returned as
+        ``failed``, reading its certificate instead of re-solving."""
 
 
 class NonlinearSolverInterface(abc.ABC):
@@ -381,6 +382,11 @@ class LSATBooleanAdapter(BooleanSolverInterface):
 # ----------------------------------------------------------------------
 # Linear adapters
 # ----------------------------------------------------------------------
+def _tags(rows: Iterable[LinearConstraint]) -> List[int]:
+    """Boolean origin tags of ``rows`` (rows without one are skipped)."""
+    return [row.tag for row in rows if isinstance(row.tag, int)]
+
+
 class SimplexLinearAdapter(LinearSolverInterface):
     """COIN stand-in: exact simplex, B&B when integer variables occur,
     deletion-filter IIS refinement.
@@ -389,6 +395,12 @@ class SimplexLinearAdapter(LinearSolverInterface):
     variables and solved independently — exact, and it keeps the dense
     tableau small on loosely-coupled systems (each Sudoku cell's rows form
     their own component).
+
+    ``check`` stops at the first component that is not feasible and names
+    it on the result (:attr:`LPResult.component`).  ``refine`` explains the
+    conflict from that result alone: its Farkas core seeds the deletion
+    filter, so no component is solved twice.  An LP-feasible but
+    IP-infeasible component has no such core and is blocked whole.
 
     Args:
         refine_minimal: compute IIS conflict cores via the deletion filter
@@ -436,21 +448,20 @@ class SimplexLinearAdapter(LinearSolverInterface):
         else:
             raise ValueError(f"unknown simplex engine {engine!r}")
         self._branch_bound = BranchAndBoundSolver(max_nodes=max_bb_nodes, simplex=self._simplex)
+        #: Simplex checks made by IIS extraction (seed check + probes).
+        self.iis_probes = 0
 
-    @property
-    def warm_start_hits(self) -> int:
-        """Simplex checks answered from the warm-start point cache."""
-        return self._simplex.warm_hits
-
-    @property
-    def numpy_accepts(self) -> int:
-        """Checks the float64 path answered with an exact certificate."""
-        return getattr(self._simplex, "numpy_accepts", 0)
-
-    @property
-    def numpy_fallbacks(self) -> int:
-        """Float64 runs that failed certification and re-solved exactly."""
-        return getattr(self._simplex, "numpy_fallbacks", 0)
+    def work_counters(self) -> Dict[str, int]:
+        """Cumulative engine counters (the pipeline syncs their deltas)."""
+        simplex = self._simplex
+        return {
+            "warm_start_hits": simplex.warm_hits,
+            "numpy_accepts": getattr(simplex, "numpy_accepts", 0),
+            "numpy_fallbacks": getattr(simplex, "numpy_fallbacks", 0),
+            "lp_solves": simplex.solves,
+            "lp_pivots": simplex.total_pivots,
+            "iis_probes": self.iis_probes,
+        }
 
     def invalidate_caches(self) -> None:
         """Drop warm-start state (called when the asserted structure changes)."""
@@ -469,46 +480,35 @@ class SimplexLinearAdapter(LinearSolverInterface):
         self._simplex.warm_context = context
 
     def check(self, system: LinearSystem) -> LPResult:
-        merged_point: Dict[str, object] = {}
-        for component in system.split_components():
-            result = self._check_component(component)
+        pairs = [(self._engine(component), component) for component in system.split_components()]
+        # Specialist engines go first: their conflict core is free.
+        pairs.sort(key=lambda pair: pair[0] in (self._simplex, self._branch_bound))
+        merged_point: Dict[str, Fraction] = {}
+        for engine, component in pairs:
+            result = engine.check(component)
             if result.status is not LPStatus.FEASIBLE:
+                result.component = component
                 return result
             merged_point.update(result.point)
-        return LPResult(LPStatus.FEASIBLE, merged_point)  # type: ignore[arg-type]
+        return LPResult(LPStatus.FEASIBLE, merged_point)
 
-    def _check_component(self, component: LinearSystem) -> LPResult:
-        # The per-call presolve that used to live here moved to the
-        # formula-level PresolveStage (see the use_presolve note above).
-        return self._solve_exact(component)
-
-    def _solve_exact(self, component: LinearSystem) -> LPResult:
+    def _engine(self, component: LinearSystem):
+        """The solver that decides ``component``."""
         if component.integer_variables():
-            return self._branch_bound.check(component)
-        return self._simplex.check(component)
+            return self._branch_bound
+        return self._simplex
 
-    def refine(self, system: LinearSystem) -> Refinement:
+    def refine(self, system: LinearSystem, failed: LPResult) -> Refinement:
         if not self.refine_minimal:
-            tags = [row.tag for row in system.rows if isinstance(row.tag, int)]
-            return Refinement(tags, minimal=False)
-        for component in system.split_components():
-            if self._check_component(component).status is not LPStatus.FEASIBLE:
-                relaxed = self._real_relaxation_core(component)
-                if relaxed is not None:
-                    return relaxed
-                # LP-feasible but IP-infeasible component: block its rows.
-                tags = [row.tag for row in component.rows if isinstance(row.tag, int)]
-                return Refinement(tags, minimal=False)
-        # Should not happen (refine is called after a failed check); be safe.
-        tags = [row.tag for row in system.rows if isinstance(row.tag, int)]
-        return Refinement(tags, minimal=False)
-
-    def _real_relaxation_core(self, system: LinearSystem) -> Optional[Refinement]:
-        if self._simplex.check(system).status is not LPStatus.INFEASIBLE:
-            return None
-        core = extract_iis(system, self._simplex)
-        tags = [row.tag for row in core if isinstance(row.tag, int)]
-        return Refinement(tags, minimal=True)
+            return Refinement(_tags(system.rows), minimal=False)
+        component = failed.component
+        if failed.core_indices is None:
+            # LP-feasible but IP-infeasible component: block its rows.
+            return Refinement(_tags(component.rows), minimal=False)
+        solves = self._simplex.solves
+        core = extract_iis(component, self._simplex, first=failed)
+        self.iis_probes += self._simplex.solves - solves
+        return Refinement(_tags(core), minimal=True)
 
 
 class DifferenceLinearAdapter(SimplexLinearAdapter):
@@ -516,10 +516,13 @@ class DifferenceLinearAdapter(SimplexLinearAdapter):
 
     Components inside the QF_RDL fragment (``x - y REL c``) are decided by
     Bellman–Ford negative-cycle search; a detected cycle *is* an IIS, so
-    conflict refinement is free.  Components outside the fragment fall back
-    to the exact simplex / branch-and-bound path.  This adapter is the
-    "reuse of expert knowledge" demonstration: selecting it makes the
-    FISCHER family dramatically cheaper without touching the control loop.
+    conflict refinement is free: ``refine`` reads it off the failed check's
+    ``core_indices`` and runs no solver.  ``check`` decides these
+    components first, so any infeasible one explains the conflict.  Other
+    components fall back to the exact simplex / branch-and-bound path.
+    This adapter is the "reuse of expert knowledge" demonstration:
+    selecting it makes the FISCHER family dramatically cheaper without
+    touching the control loop.
     """
 
     name = "difference"
@@ -540,10 +543,10 @@ class DifferenceLinearAdapter(SimplexLinearAdapter):
         self._difference = DifferenceLogicSolver(warm_start=warm_start)
         self._is_difference_system = is_difference_system
 
-    @property
-    def warm_start_hits(self) -> int:
-        """Warm-cache hits across both engines (Bellman–Ford + simplex)."""
-        return self._simplex.warm_hits + self._difference.warm_hits
+    def work_counters(self) -> Dict[str, int]:
+        counters = super().work_counters()
+        counters["warm_start_hits"] += self._difference.warm_hits
+        return counters
 
     def invalidate_caches(self) -> None:
         """Drop warm-start state in both the simplex and difference engines."""
@@ -554,28 +557,20 @@ class DifferenceLinearAdapter(SimplexLinearAdapter):
         super().set_warm_context(context)
         self._difference.warm_context = context
 
-    def _check_component(self, component: LinearSystem) -> LPResult:
+    def _engine(self, component: LinearSystem):
         if self._is_difference_system(component):
-            return self._difference.check(component)
-        return super()._check_component(component)
+            return self._difference
+        return super()._engine(component)
 
-    def refine(self, system: LinearSystem) -> Refinement:
-        for component in system.split_components():
-            if self._is_difference_system(component):
-                result = self._difference.check(component)
-                if result.status is LPStatus.INFEASIBLE:
-                    assert result.core_indices is not None
-                    tags = [
-                        component.rows[i].tag
-                        for i in result.core_indices
-                        if isinstance(component.rows[i].tag, int)
-                    ]
-                    return Refinement(tags, minimal=True)
-        return super().refine(system)
+    def refine(self, system: LinearSystem, failed: LPResult) -> Refinement:
+        if not self._is_difference_system(failed.component):
+            return super().refine(system, failed)
+        rows = failed.component.rows
+        return Refinement(_tags(rows[i] for i in failed.core_indices), minimal=True)
 
 
 class BranchBoundLinearAdapter(SimplexLinearAdapter):
-    """Alias adapter that always routes through branch-and-bound.
+    """Alias adapter that routes every component through branch-and-bound.
 
     Registered separately so benchmark configurations can name it
     explicitly; behaviour equals :class:`SimplexLinearAdapter` on systems
@@ -584,8 +579,8 @@ class BranchBoundLinearAdapter(SimplexLinearAdapter):
 
     name = "branch-bound"
 
-    def check(self, system: LinearSystem) -> LPResult:
-        return self._branch_bound.check(system)
+    def _engine(self, component: LinearSystem):
+        return self._branch_bound
 
 
 # ----------------------------------------------------------------------

@@ -435,8 +435,7 @@ class LinearCheckStage(SolverStage):
     def __init__(self, pipeline: "SolvePipeline", linear: LinearSolverInterface):
         self._pipeline = pipeline
         self._linear = linear
-        self._warm_seen = 0
-        self._numpy_seen = (0, 0)
+        self._counters_seen: Dict[str, int] = {}
 
     @property
     def solver(self) -> LinearSolverInterface:
@@ -450,18 +449,24 @@ class LinearCheckStage(SolverStage):
         ), pipeline.profiler.stage(self.name):
             result = self._linear.check(system)
         stats.linear_checks += 1
-        hits = getattr(self._linear, "warm_start_hits", 0)
-        if hits > self._warm_seen:
-            stats.warm_start_hits += hits - self._warm_seen
-            self._warm_seen = hits
-        accepts = getattr(self._linear, "numpy_accepts", 0)
-        fallbacks = getattr(self._linear, "numpy_fallbacks", 0)
-        seen_accepts, seen_fallbacks = self._numpy_seen
-        if accepts > seen_accepts or fallbacks > seen_fallbacks:
-            stats.numpy_accepts += accepts - seen_accepts
-            stats.numpy_fallbacks += fallbacks - seen_fallbacks
-            self._numpy_seen = (accepts, fallbacks)
+        self.sync_counters()
         return result
+
+    def sync_counters(self) -> None:
+        """Add the adapter's engine-counter growth to the statistics.
+
+        The adapter reports cumulative totals (``work_counters``), so only
+        the delta since the last sync is added, as for the kernel counters.
+        """
+        work_counters = getattr(self._linear, "work_counters", None)
+        if work_counters is None:
+            return
+        stats = self._pipeline.stats
+        seen = self._counters_seen
+        for name, total in work_counters().items():
+            if total > seen.get(name, 0):
+                setattr(stats, name, getattr(stats, name) + total - seen.get(name, 0))
+                seen[name] = total
 
     def reset(self) -> None:
         invalidate = getattr(self._linear, "invalidate_caches", None)
@@ -556,7 +561,8 @@ class ConflictRefinementStage(SolverStage):
         self._refine_conflicts = refine_conflicts
         self._use_interval_refuter = use_interval_refuter
 
-    def refine_linear(self, system: LinearSystem) -> Refinement:
+    def refine_linear(self, system: LinearSystem, failed: LPResult) -> Refinement:
+        """Explain ``failed``, the linear check's verdict on ``system``."""
         pipeline = self._pipeline
         stats = pipeline.stats
         if not self._refine_conflicts:
@@ -565,7 +571,8 @@ class ConflictRefinementStage(SolverStage):
         with stats.timed(self.name), pipeline.tracer.span(
             self.name, kind="iis", backend=self._linear.name
         ), pipeline.profiler.stage(self.name):
-            refinement = self._linear.refine(system)
+            refinement = self._linear.refine(system, failed)
+        pipeline.linear.sync_counters()
         stats.conflicts_refined += 1
         if pipeline.bus.active:
             pipeline.bus.publish(
@@ -1305,7 +1312,7 @@ class SolvePipeline:
 
         lp_result = self.linear.check(system)
         if lp_result.status is not LPStatus.FEASIBLE:
-            refinement = self.refinement.refine_linear(system)
+            refinement = self.refinement.refine_linear(system, lp_result)
             return TheoryVerdict(False, blocking=refinement.blocking_clause())
 
         if not nonlinear_constraints:

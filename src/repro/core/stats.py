@@ -40,7 +40,10 @@ class SolveStatistics:
     ``translation_cache_misses`` (memoized definition-literal -> linear-row
     translations), ``warm_start_hits`` (simplex checks answered from a
     cached feasible point), and ``lemmas_retracted`` (lemmas dropped because
-    a ``pop`` retracted the frame they depended on).  Per-stage wall clock
+    a ``pop`` retracted the frame they depended on).  Theory work is counted
+    by ``lp_solves`` (simplex checks, branch-and-bound nodes and IIS probes
+    included), ``lp_pivots`` and ``iis_probes`` (the deletion filter's
+    checks, its Farkas-seed re-validation included).  Per-stage wall clock
     lands in ``timers`` under the stage names (``boolean``, ``translate``,
     ``linear``, ``nonlinear``, ``refine``).
 
@@ -84,6 +87,9 @@ class SolveStatistics:
         "heap_decisions",
         "clauses_reduced",
         "clauses_minimized_lits",
+        "lp_solves",
+        "lp_pivots",
+        "iis_probes",
     )
 
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:

@@ -36,7 +36,14 @@ class BranchAndBoundSolver:
         self.nodes_explored = 0
 
     def check(self, system: LinearSystem) -> LPResult:
-        """Find a point satisfying all rows with integer vars integral."""
+        """Find a point satisfying all rows with integer vars integral.
+
+        When the real relaxation of ``system`` is itself infeasible the
+        result is that relaxation's, Farkas core included.  When the
+        relaxation is feasible but no integral point exists, the result is
+        INFEASIBLE with ``core_indices`` None: no real-relaxation core
+        explains the conflict.
+        """
         self.nodes_explored = 0
         integer_vars = sorted(system.integer_variables())
         return self._search(system, integer_vars)
@@ -51,6 +58,8 @@ class BranchAndBoundSolver:
             node = stack.pop()
             relaxation = self.simplex.check(node)
             if relaxation.status is not LPStatus.FEASIBLE:
+                if node is system:
+                    return relaxation
                 continue
             fractional = self._first_fractional(relaxation.point, integer_vars)
             if fractional is None:

@@ -41,6 +41,7 @@ def is_infeasible_subset(
 def extract_iis(
     system: LinearSystem,
     solver: Optional[SimplexSolver] = None,
+    first: Optional[LPResult] = None,
 ) -> List[LinearConstraint]:
     """Deletion-filter IIS of an infeasible linear system.
 
@@ -48,16 +49,24 @@ def extract_iis(
     otherwise).  Returns rows forming an irreducible infeasible core; the
     rows keep their ``tag`` fields so the caller can map them back to Boolean
     literals.
+
+    ``first`` is the simplex's failed check of ``system`` when the caller
+    already holds it (the deciding check of the control loop): its Farkas
+    core seeds the filter and the system is not solved again.  Without it
+    the system is checked once here.
     """
     solver = solver or SimplexSolver()
     rows = [row for row in system.rows]
-    first = solver.check(LinearSystem(rows, system.domains))
+    if first is None:
+        first = solver.check(LinearSystem(rows, system.domains))
     if first.status is not LPStatus.INFEASIBLE:
         raise ValueError("extract_iis called on a feasible system")
 
     # Seed the deletion filter with the simplex's Farkas certificate — a
     # (usually small) infeasible subset available for free from the failed
-    # check.  The filter then only has to establish irreducibility.
+    # check.  Re-validating the seed keeps a wrong certificate from ever
+    # producing an unsound core; the filter then only has to establish
+    # irreducibility.
     if first.core_indices:
         core = [rows[i] for i in first.core_indices]
         if not is_infeasible_subset(core, system.domains, solver):

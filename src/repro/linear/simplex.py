@@ -43,9 +43,17 @@ class LPStatus(enum.Enum):
 class LPResult:
     """LP outcome: status, a witness point (vars -> Fraction), objective.
 
-    On INFEASIBLE, ``core_indices`` (when available) lists indices into the
-    *non-trivial* rows of the checked system that form a Farkas-certified
-    infeasible subset — a cheap starting point for IIS extraction.
+    On INFEASIBLE, ``core_indices`` lists indices into the rows of the
+    checked system that form a certified infeasible subset: the Farkas
+    support for the simplex, the negative cycle for Bellman–Ford.  ``None``
+    means the system has no real-relaxation core (branch-and-bound proved
+    an LP-feasible system integer-infeasible).
+
+    ``component`` is set by the linear adapters, which split a system into
+    connected components and stop at the first one that is not feasible:
+    it is that component, and ``core_indices`` then index its rows.  The
+    failed check's result is all that conflict refinement needs, so an
+    infeasibility is never solved a second time to be explained.
     """
 
     def __init__(
@@ -59,6 +67,7 @@ class LPResult:
         self.point = point or {}
         self.objective = objective
         self.core_indices = core_indices
+        self.component: Optional[LinearSystem] = None
 
     @property
     def is_feasible(self) -> bool:
@@ -132,7 +141,13 @@ class SimplexSolver:
 
     def __init__(self, max_pivots: int = 200_000, warm_start: bool = False):
         self.max_pivots = max_pivots
+        #: Pivots of the most recent solve (reset by every solve).
         self.pivots = 0
+        #: Pivots over the solver's lifetime.
+        self.total_pivots = 0
+        #: ``check`` calls over the solver's lifetime, warm-cache answers
+        #: and trivial systems included.
+        self.solves = 0
         self.warm_start = warm_start
         self.warm_hits = 0
         #: Opaque scope token mixed into the warm-cache key; the pipeline
@@ -152,6 +167,7 @@ class SimplexSolver:
         On infeasibility the result carries Farkas-certified ``core_indices``
         (positions in ``system.rows``) whenever the certificate is available.
         """
+        self.solves += 1
         trivial = self._check_trivial_rows(system)
         if trivial is not None:
             if trivial.status is LPStatus.INFEASIBLE:
@@ -493,6 +509,7 @@ class SimplexSolver:
             if leaving < 0:
                 raise _Unbounded()
             self.pivots += 1
+            self.total_pivots += 1
             if self.pivots > self.max_pivots:
                 raise RuntimeError("simplex pivot budget exhausted")
             factor = z[entering]

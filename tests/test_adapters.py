@@ -77,15 +77,17 @@ class TestLinearAdapters:
     def test_simplex_adapter_refine_is_minimal(self):
         adapter = SimplexLinearAdapter()
         system = self.infeasible_system()
-        assert adapter.check(system).status is LPStatus.INFEASIBLE
-        refinement = adapter.refine(system)
+        failed = adapter.check(system)
+        assert failed.status is LPStatus.INFEASIBLE
+        refinement = adapter.refine(system, failed)
         assert refinement.minimal
         assert sorted(refinement.conflicting_tags) == [1, 2]
         assert sorted(refinement.blocking_clause()) == [-2, -1]
 
     def test_simplex_adapter_coarse_mode(self):
         adapter = SimplexLinearAdapter(refine_minimal=False)
-        refinement = adapter.refine(self.infeasible_system())
+        system = self.infeasible_system()
+        refinement = adapter.refine(system, adapter.check(system))
         assert not refinement.minimal
         assert sorted(refinement.conflicting_tags) == [1, 2, 3]
 
@@ -107,8 +109,9 @@ class TestLinearAdapters:
         adapter = DifferenceLinearAdapter()
         # inside the fragment
         dl = LinearSystem([row("x - y <= -1", tag=1), row("y - x <= -1", tag=2)])
-        assert adapter.check(dl).status is LPStatus.INFEASIBLE
-        refinement = adapter.refine(dl)
+        failed = adapter.check(dl)
+        assert failed.status is LPStatus.INFEASIBLE
+        refinement = adapter.refine(dl, failed)
         assert refinement.minimal
         assert sorted(refinement.conflicting_tags) == [1, 2]
         # outside the fragment: falls back to the simplex

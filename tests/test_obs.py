@@ -3,6 +3,7 @@ registry, the SolveStatistics facade, bench records, and the overhead guard."""
 
 import io
 import json
+import statistics
 import time
 
 import pytest
@@ -813,6 +814,30 @@ def _midsize_solve(tracer=None, bus=None):
     return result
 
 
+def _interleaved_ratio(run_a, run_b, trials=7):
+    """Median B/A wall ratio over interleaved trials, and A's median wall.
+
+    Each trial times A and B back to back, alternating which goes first,
+    so a host slowing down or speeding up mid-test moves both sides of a
+    pair alike instead of biasing one side's best-of.
+    """
+
+    def timed(run):
+        started = time.perf_counter()
+        run()
+        return time.perf_counter() - started
+
+    ratios, walls_a = [], []
+    for trial in range(trials):
+        if trial % 2:
+            wall_b, wall_a = timed(run_b), timed(run_a)
+        else:
+            wall_a, wall_b = timed(run_a), timed(run_b)
+        ratios.append(wall_b / wall_a)
+        walls_a.append(wall_a)
+    return statistics.median(ratios), statistics.median(walls_a)
+
+
 class TestOverheadGuard:
     def test_null_span_fast_path_is_cheap(self):
         """The disabled tracer's span() must be allocation-free and fast."""
@@ -832,26 +857,17 @@ class TestOverheadGuard:
         bus); running the same solve fully traced within 5% of it bounds
         what the instrumentation hooks can cost — and a fortiori the
         traced-off solve sits within 5% of pre-instrumentation wall time.
-        Best-of-5 strips scheduler noise.
+        Interleaved A/B trials with a median ratio cancel load drift.
         """
         _midsize_solve()  # warm imports and code paths
-
-        def best_of(runs, make_tracer):
-            best = float("inf")
-            for _ in range(runs):
-                tracer = make_tracer()
-                started = time.perf_counter()
-                _midsize_solve(tracer)
-                best = min(best, time.perf_counter() - started)
-            return best
-
-        untraced = best_of(5, lambda: None)
-        traced = best_of(5, SpanTracer)
+        ratio, untraced = _interleaved_ratio(
+            lambda: _midsize_solve(), lambda: _midsize_solve(SpanTracer())
+        )
         # 5% relative margin plus a small absolute cushion so a sub-50ms
         # baseline does not turn scheduler jitter into flakes.
-        assert traced <= untraced * 1.05 + 0.005, (
-            f"traced {traced * 1000:.1f}ms vs untraced {untraced * 1000:.1f}ms "
-            "exceeds the 5% instrumentation budget"
+        assert ratio <= 1.05 + 0.005 / untraced, (
+            f"traced/untraced median ratio {ratio:.3f} on a "
+            f"{untraced * 1000:.1f}ms solve exceeds the 5% instrumentation budget"
         )
 
     def test_recorder_overhead_within_five_percent(self):
@@ -859,27 +875,24 @@ class TestOverheadGuard:
 
         Both sides run traced with an active bus, so the comparison
         isolates what the *recorder* adds: one ring append per event and
-        per span close.  Best-of-5 strips scheduler noise.
+        per span close.  Interleaved A/B trials with a median ratio cancel
+        load drift.
         """
         _midsize_solve()  # warm imports and code paths
 
-        def best_of(runs, recorded):
-            best = float("inf")
-            for _ in range(runs):
-                tracer = SpanTracer()
-                bus = EventBus()
-                if recorded:
-                    FlightRecorder().attach(bus=bus, tracer=tracer)
-                else:
-                    bus.subscribe(lambda event: None)  # bus active either way
-                started = time.perf_counter()
-                _midsize_solve(tracer, bus)
-                best = min(best, time.perf_counter() - started)
-            return best
+        def traced_solve(recorded):
+            tracer = SpanTracer()
+            bus = EventBus()
+            if recorded:
+                FlightRecorder().attach(bus=bus, tracer=tracer)
+            else:
+                bus.subscribe(lambda event: None)  # bus active either way
+            _midsize_solve(tracer, bus)
 
-        plain = best_of(5, recorded=False)
-        recorded = best_of(5, recorded=True)
-        assert recorded <= plain * 1.05 + 0.005, (
-            f"recorded {recorded * 1000:.1f}ms vs plain {plain * 1000:.1f}ms "
-            "exceeds the 5% flight-recorder budget"
+        ratio, plain = _interleaved_ratio(
+            lambda: traced_solve(False), lambda: traced_solve(True)
+        )
+        assert ratio <= 1.05 + 0.005 / plain, (
+            f"recorded/plain median ratio {ratio:.3f} on a "
+            f"{plain * 1000:.1f}ms solve exceeds the 5% flight-recorder budget"
         )

@@ -117,11 +117,15 @@ class TestCubeSplitting:
 
 
 class TestDynamicSplitting:
-    def test_hard_cube_splits_and_verdict_stays_correct(self):
+    def test_hard_cube_splits_and_verdict_stays_correct(self, monkeypatch):
         # A tiny split budget forces every nontrivial cube to be abandoned
         # and re-split; the join must still reach the sequential verdict
         # and count the splits.  Presolve off: its per-cube refinements can
-        # settle cubes inside the budget, leaving nothing to split.
+        # settle cubes inside the budget, leaving nothing to split.  One
+        # worker drains the two cubes in order, so the schedule is the same
+        # on every host: with two racing workers the SAT cube can answer
+        # before its sibling exhausts the split budget.
+        monkeypatch.setattr(ParallelSolver, "worker_count", lambda self: 1)
         problem = planted_problem(6).problem
         with ParallelSolver(
             ABSolverConfig(use_presolve=False),

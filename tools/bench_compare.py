@@ -50,6 +50,11 @@ DEFAULT_COUNTERS = (
     # CDCL kernel decisions: same workload + same seed should not need
     # more branching after a kernel change.
     "heap_decisions",
+    # Theory work: simplex checks (B&B nodes and IIS probes included),
+    # their pivots, and the deletion filter's probes.
+    "lp_solves",
+    "lp_pivots",
+    "iis_probes",
 )
 
 
