@@ -14,12 +14,48 @@ over blocking the full assignment.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional, Sequence
+from fractions import Fraction
+from typing import Dict, List, Mapping, Optional, Sequence
 
+from ..core.expr import Relation
 from .lp import LinearConstraint, LinearSystem
 from .simplex import LPResult, LPStatus, SimplexSolver
 
-__all__ = ["extract_iis", "is_infeasible_subset"]
+__all__ = ["extract_iis", "farkas_certifies", "is_infeasible_subset"]
+
+_ZERO = Fraction(0)
+_STRICT = (Relation.LT, Relation.GT)
+_NEGATED = (Relation.GE, Relation.GT)
+
+
+def farkas_certifies(
+    rows: Sequence[LinearConstraint], multipliers: Mapping[int, Fraction]
+) -> bool:
+    """True when ``multipliers`` prove the rows they name infeasible.
+
+    ``multipliers`` maps a row index to its multiplier ``y`` on the row read
+    as ``a x <= b`` (``>=``/``>`` rows negated), as on
+    :attr:`LPResult.multipliers`.  The check is exact: ``y >= 0`` on every
+    inequality, ``sum(y * a) = 0``, and ``sum(y * b) < 0`` (Farkas) or
+    ``sum(y * b) = 0`` with ``y > 0`` on some strict row (Motzkin).
+    """
+    combined: Dict[str, Fraction] = {}
+    bound = _ZERO
+    strict = False
+    for index, y in multipliers.items():
+        row = rows[index]
+        if row.relation is not Relation.EQ:
+            if y < 0:
+                return False
+            strict = strict or (y > 0 and row.relation in _STRICT)
+        if row.relation in _NEGATED:
+            y = -y
+        for var, coeff in row.coeffs.items():
+            combined[var] = combined.get(var, _ZERO) + y * coeff
+        bound += y * row.bound
+    if any(combined.values()):
+        return False
+    return bound < 0 or (bound == 0 and strict)
 
 
 def is_infeasible_subset(
@@ -64,12 +100,15 @@ def extract_iis(
 
     # Seed the deletion filter with the simplex's Farkas certificate — a
     # (usually small) infeasible subset available for free from the failed
-    # check.  Re-validating the seed keeps a wrong certificate from ever
-    # producing an unsound core; the filter then only has to establish
+    # check.  The seed is used only once proven infeasible, by its exact
+    # multipliers or else by a fresh LP, so a wrong certificate never
+    # produces an unsound core; the filter then only has to establish
     # irreducibility.
     if first.core_indices:
         core = [rows[i] for i in first.core_indices]
-        if not is_infeasible_subset(core, system.domains, solver):
+        if not _seed_certified(rows, first) and not is_infeasible_subset(
+            core, system.domains, solver
+        ):
             core = list(rows)  # certificate unusable; fall back to all rows
     else:
         core = list(rows)
@@ -87,3 +126,13 @@ def extract_iis(
         else:
             index += 1
     return core
+
+
+def _seed_certified(rows: Sequence[LinearConstraint], first: LPResult) -> bool:
+    """Whether ``first``'s multipliers prove its core infeasible, no LP run."""
+    multipliers = first.multipliers
+    return (
+        bool(multipliers)
+        and set(multipliers) <= set(first.core_indices)
+        and farkas_certifies(rows, multipliers)
+    )

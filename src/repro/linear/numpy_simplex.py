@@ -37,7 +37,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.expr import Relation
 from .lp import LinearConstraint
-from .simplex import EPSILON_VAR, LPResult, LPStatus, SimplexSolver
+from .simplex import EPSILON_VAR, LPResult, LPStatus, SimplexSolver, _eliminate
 
 try:  # numpy is an optional accelerator, never a hard dependency
     import numpy as _np
@@ -306,6 +306,7 @@ class NumpySimplexSolver(SimplexSolver):
         return LPResult(
             LPStatus.INFEASIBLE,
             core_indices=sorted(support[i] for i in core),
+            multipliers={support[i]: y for i, y in exact.multipliers.items()},
         )
 
     def _certify_feasible(
@@ -370,7 +371,7 @@ class NumpySimplexSolver(SimplexSolver):
 def _exact_gaussian_solve(
     matrix: List[List[Fraction]], rhs: List[Fraction]
 ) -> Optional[List[Fraction]]:
-    """Solve a square Fraction system by Gaussian elimination.
+    """Solve a square Fraction system by Gauss-Jordan elimination.
 
     Returns the solution vector, or ``None`` when the matrix is singular
     (the float run proposed a rank-deficient basis).
@@ -385,15 +386,5 @@ def _exact_gaussian_solve(
         if pivot_row != col:
             m[col], m[pivot_row] = m[pivot_row], m[col]
             v[col], v[pivot_row] = v[pivot_row], v[col]
-        inv = _ONE / m[col][col]
-        m[col] = [value * inv for value in m[col]]
-        v[col] *= inv
-        for r in range(n):
-            if r == col:
-                continue
-            factor = m[r][col]
-            if factor == 0:
-                continue
-            m[r] = [value - factor * m[col][j] for j, value in enumerate(m[r])]
-            v[r] -= factor * v[col]
+        _eliminate(m, v, col, col)
     return v

@@ -54,6 +54,13 @@ class LPResult:
     it is that component, and ``core_indices`` then index its rows.  The
     failed check's result is all that conflict refinement needs, so an
     infeasibility is never solved a second time to be explained.
+
+    ``multipliers`` is the simplex's Farkas certificate itself, keyed like
+    ``core_indices``: row index -> multiplier ``y`` on the row read as
+    ``<=`` (``>=``/``>`` rows negated).  ``y >= 0`` on inequalities,
+    ``sum(y * a) = 0``, and ``sum(y * b) < 0``, or ``= 0`` with weight on a
+    strict row.  It is unchecked; :func:`repro.linear.iis.farkas_certifies`
+    verifies it exactly.
     """
 
     def __init__(
@@ -62,11 +69,13 @@ class LPResult:
         point: Optional[Dict[str, Fraction]] = None,
         objective: Optional[Fraction] = None,
         core_indices: Optional[List[int]] = None,
+        multipliers: Optional[Dict[int, Fraction]] = None,
     ):
         self.status = status
         self.point = point or {}
         self.objective = objective
         self.core_indices = core_indices
+        self.multipliers = multipliers
         self.component: Optional[LinearSystem] = None
 
     @property
@@ -77,11 +86,42 @@ class LPResult:
         return f"LPResult({self.status.value}, objective={self.objective})"
 
 
+def _eliminate(
+    rows: List[List[Fraction]], rhs: List[Fraction], row_index: int, col: int
+) -> List[int]:
+    """One Gauss-Jordan step on ``rows[row_index][col]``, in place.
+
+    Scales the pivot row to a unit pivot and clears ``col`` from every other
+    row.  Only the pivot row's nonzero columns change anywhere, so only
+    those are touched; they are returned for the caller's own updates.
+    """
+    pivot_row = rows[row_index]
+    nonzero = [j for j, value in enumerate(pivot_row) if value]
+    pivot_value = pivot_row[col]
+    if pivot_value != 1:
+        inv = _ONE / pivot_value
+        for j in nonzero:
+            pivot_row[j] *= inv
+        rhs[row_index] *= inv
+    pivot_rhs = rhs[row_index]
+    for i, row in enumerate(rows):
+        if i == row_index:
+            continue
+        factor = row[col]
+        if factor == 0:
+            continue
+        for j in nonzero:
+            row[j] -= factor * pivot_row[j]
+        rhs[i] -= factor * pivot_rhs
+    return nonzero
+
+
 class _Tableau:
-    """Dense simplex tableau over Fractions.
+    """Simplex tableau over Fractions: dense rows, sparse updates.
 
     Rows are equality constraints ``A x = b`` with ``b >= 0`` and an initial
     basis of slack/artificial columns; the objective row is kept separately.
+    A pivot updates rows in place, over the pivot row's nonzeros only.
     """
 
     def __init__(self, num_cols: int):
@@ -95,23 +135,6 @@ class _Tableau:
         self.rows.append(row)
         self.rhs.append(rhs)
         self.basis.append(basic_col)
-
-    def pivot(self, row_index: int, col: int) -> None:
-        pivot_row = self.rows[row_index]
-        pivot_value = pivot_row[col]
-        inv = _ONE / pivot_value
-        self.rows[row_index] = [value * inv for value in pivot_row]
-        self.rhs[row_index] *= inv
-        pivot_row = self.rows[row_index]
-        for i, row in enumerate(self.rows):
-            if i == row_index:
-                continue
-            factor = row[col]
-            if factor == 0:
-                continue
-            self.rows[i] = [value - factor * pivot_row[j] for j, value in enumerate(row)]
-            self.rhs[i] -= factor * self.rhs[row_index]
-        self.basis[row_index] = col
 
     def solution(self) -> List[Fraction]:
         values = [_ZERO] * self.num_cols
@@ -201,6 +224,10 @@ class SimplexSolver:
             )
         if result.status is LPStatus.INFEASIBLE and result.core_indices is not None:
             result.core_indices = sorted(positions[i] for i in result.core_indices)
+            if result.multipliers is not None:
+                result.multipliers = {
+                    positions[i]: y for i, y in result.multipliers.items()
+                }
         if result.status is LPStatus.FEASIBLE:
             result.point.pop(EPSILON_VAR, None)
             if signature is not None:
@@ -412,13 +439,24 @@ class SimplexSolver:
                 artificial_cols.append(art_col)
                 tableau.add_row(row_vec, -bound, art_col)
 
-        def farkas_core(z: List[Fraction]) -> List[int]:
-            """Rows with a nonzero dual in the certificate: y_i = ∓z[slack_i]."""
-            core: set = set()
+        def infeasible(z: List[Fraction]) -> LPResult:
+            """INFEASIBLE with the Farkas certificate read off the optimal
+            reduced costs: normalized row i has multiplier z[slack_i] >= 0,
+            and the core is every source row with a nonzero one."""
+            core: Set[int] = set()
+            multipliers: Dict[int, Fraction] = {}
             for i in range(num_rows):
-                if z[slack_base + i] != 0 and source_of[i] is not None:
-                    core.add(source_of[i])
-            return sorted(core)
+                y = z[slack_base + i]
+                source = source_of[i]
+                if y == 0 or source is None:
+                    continue
+                core.add(source)
+                if i > 0 and source_of[i - 1] == source:
+                    y = -y  # the -a x <= -b half of an equality row
+                multipliers[source] = multipliers.get(source, _ZERO) + y
+            return LPResult(
+                LPStatus.INFEASIBLE, core_indices=sorted(core), multipliers=multipliers
+            )
 
         # ---- Phase 1: minimize the sum of artificials -------------------
         if artificial_cols:
@@ -427,7 +465,7 @@ class SimplexSolver:
                 cost[col] = _ONE
             value, z = self._run_phase(tableau, cost, minimize=True, banned=set())
             if value > 0:
-                return LPResult(LPStatus.INFEASIBLE, core_indices=farkas_core(z))
+                return infeasible(z)
             self._drive_out_artificials(tableau, set(artificial_cols))
 
         banned = set(artificial_cols)
@@ -450,7 +488,7 @@ class SimplexSolver:
         if epsilon_mode and value <= 0:
             # Max epsilon is non-positive: strictly infeasible; the phase-2
             # duals certify which strict/weak rows conflict.
-            return LPResult(LPStatus.INFEASIBLE, core_indices=farkas_core(z))
+            return infeasible(z)
         point = self._extract_point(tableau, variables, col_of_pos, col_of_neg)
         return LPResult(LPStatus.FEASIBLE, point, value)
 
@@ -477,8 +515,9 @@ class SimplexSolver:
             factor = z[col]
             if factor == 0:
                 continue
-            row = tableau.rows[row_index]
-            z = [zj - factor * row[j] for j, zj in enumerate(z)]
+            for j, value in enumerate(tableau.rows[row_index]):
+                if value:
+                    z[j] -= factor * value
             z_value -= factor * tableau.rhs[row_index]
 
         while True:
@@ -508,14 +547,11 @@ class SimplexSolver:
                     leaving = row_index
             if leaving < 0:
                 raise _Unbounded()
-            self.pivots += 1
-            self.total_pivots += 1
-            if self.pivots > self.max_pivots:
-                raise RuntimeError("simplex pivot budget exhausted")
             factor = z[entering]
-            tableau.pivot(leaving, entering)
+            nonzero = self._pivot(tableau, leaving, entering)
             pivot_row = tableau.rows[leaving]
-            z = [zj - factor * pivot_row[j] for j, zj in enumerate(z)]
+            for j in nonzero:
+                z[j] -= factor * pivot_row[j]
             z_value -= factor * tableau.rhs[leaving]
         # z_value now holds -(objective) in the "sign" orientation.
         objective_value = -z_value
@@ -535,9 +571,19 @@ class SimplexSolver:
                     replacement = j
                     break
             if replacement >= 0:
-                tableau.pivot(row_index, replacement)
+                self._pivot(tableau, row_index, replacement)
             # If no replacement exists the row is all-zero (redundant) and the
             # artificial stays basic at value 0, which is harmless.
+
+    def _pivot(self, tableau: _Tableau, row_index: int, col: int) -> List[int]:
+        """Count one pivot against the budget and pivot ``col`` into the
+        basis at ``row_index``; returns the pivot row's nonzero columns."""
+        self.pivots += 1
+        self.total_pivots += 1
+        if self.pivots > self.max_pivots:
+            raise RuntimeError("simplex pivot budget exhausted")
+        tableau.basis[row_index] = col
+        return _eliminate(tableau.rows, tableau.rhs, row_index, col)
 
     def _extract_point(
         self,

@@ -9,6 +9,7 @@ and near-singular tableaus, and the numpy-less degradation path, always
 comparing against :class:`SimplexSolver` as the oracle.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.expr import Relation
 from repro.linear import LinearConstraint, LinearSystem, LPStatus, SimplexSolver
 from repro.linear import numpy_simplex
+from repro.linear.iis import farkas_certifies
 from repro.linear.numpy_simplex import NumpySimplexSolver, numpy_available
 
 
@@ -141,6 +143,42 @@ class TestDegenerateTableaus:
         assert result.status is LPStatus.INFEASIBLE
         core = LinearSystem([rows[i] for i in result.core_indices])
         assert SimplexSolver().check(core).status is LPStatus.INFEASIBLE
+        # The exact re-check's multipliers are mapped back to these rows.
+        assert farkas_certifies(rows, result.multipliers)
+
+
+class TestExactGaussianSolve:
+    """The exact basis solve behind a float-feasible answer."""
+
+    def test_random_square_systems(self):
+        rng = random.Random(7)
+        solved = 0
+        for _ in range(200):
+            n = rng.randint(1, 6)
+            # Sparse integer matrices, so pivots skip most columns.
+            matrix = [
+                [Fraction(rng.choice((0, 0, 0, 1, -1, 2, 3))) for _ in range(n)]
+                for _ in range(n)
+            ]
+            rhs = [Fraction(rng.randint(-5, 5)) for _ in range(n)]
+            before = [row[:] for row in matrix]
+            solution = numpy_simplex._exact_gaussian_solve(matrix, rhs)
+            assert matrix == before  # the caller's matrix is not touched
+            if solution is None:
+                continue
+            solved += 1
+            for row, value in zip(matrix, rhs):
+                assert sum(a * x for a, x in zip(row, solution)) == value
+        assert solved > 50
+
+    def test_zero_leading_entry_swaps_rows(self):
+        matrix = [[Fraction(0), Fraction(2)], [Fraction(3), Fraction(1)]]
+        rhs = [Fraction(4), Fraction(5)]
+        assert numpy_simplex._exact_gaussian_solve(matrix, rhs) == [1, 2]
+
+    def test_singular_matrix_is_none(self):
+        matrix = [[Fraction(1), Fraction(2)], [Fraction(2), Fraction(4)]]
+        assert numpy_simplex._exact_gaussian_solve(matrix, [Fraction(1)] * 2) is None
 
 
 @pytest.mark.skipif(not numpy_available(), reason="numpy not importable")
